@@ -3,30 +3,22 @@
 // Also serves as the measured counterpart of the complexity Table 1.
 //
 // On top of the google-benchmark sections, a custom driver measures the
-// packed gemm microkernel against the unpacked loop nests, la::gemm under
+// packed gemm microkernel against the unpacked loop nests and la::gemm under
 // each kernel backend (Reference vs Native at its detected ISA tier,
-// DESIGN.md §14), and the batched dispatch path (KernelDispatch::run_batch)
-// against eager per-call dispatch, plus one end-to-end Just-In-Time
-// factorization with batching off vs on.
-// Results land in bench_kernels.json. `--quick` runs only this driver with
-// reduced repetitions and enforces the perf-smoke assertions (packed gemm
-// not slower than the loop nests at n=k=256; batches actually formed under
-// Batching::PerSupernode), exiting nonzero on violation — the ci.sh
-// perfsmoke stage runs exactly that.
+// DESIGN.md §14). Results land in bench_kernels.json. `--quick` runs only
+// this driver with reduced repetitions and enforces the perf-smoke
+// assertion (packed gemm not slower than the loop nests at n=k=256),
+// exiting nonzero on violation — the ci.sh perfsmoke stage runs exactly
+// that.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "blr.hpp"
-#include "common/thread_pool.hpp"
-#include "core/kernel_batch.hpp"
-#include "core/kernels_dispatch.hpp"
 #include "linalg/backend.hpp"
 #include "linalg/random.hpp"
 
@@ -125,7 +117,7 @@ BENCHMARK(BM_Lr2LrExtendAdd)
     ->Args({256, 1})
     ->MinTime(0.05);
 
-// ---- custom driver: packed gemm, batched dispatch, e2e ---------------
+// ---- custom driver: packed gemm, backends ----------------------------
 
 /// Best-of-`trials` wall time of `fn()` run `reps` times per trial.
 template <typename Fn>
@@ -207,111 +199,6 @@ std::vector<BackendRow> measure_backends(int trials) {
   return rows;
 }
 
-struct BatchedRow {
-  std::string op;
-  index_t tile = 0;
-  std::size_t batch = 0;
-  double eager_s = 0, batched_s = 0, speedup = 0;
-};
-
-/// One batched-vs-eager measurement: `count` same-key product or compress
-/// entries, dispatched one by one vs as a single run_batch invocation.
-BatchedRow measure_batched(const char* label, core::KernelOp op, bool lowrank_a,
-                           index_t tile, std::size_t count, ThreadPool* pool,
-                           int trials, int reps) {
-  Prng rng(23);
-  std::vector<lr::Tile> as, bs;
-  std::vector<la::DMatrix> ins;
-  std::vector<core::KernelCtx> ctxs(count);
-  const core::Rep ra = lowrank_a ? core::Rep::LowRank : core::Rep::Dense;
-  const core::Rep rb =
-      op == core::KernelOp::Gemm ? core::Rep::LowRank : core::Rep::None;
-  for (std::size_t e = 0; e < count; ++e) {
-    core::KernelCtx& kc = ctxs[e];
-    if (op == core::KernelOp::Compress) {
-      ins.push_back(decaying_block(tile, tile, 100 + e));
-      kc.in = ins.back().cview();
-      kc.kind = lr::CompressionKind::Rrqr;
-      kc.tolerance = 1e-8;
-      kc.max_rank = lr::beneficial_rank_limit(tile, tile);
-    } else {
-      const la::DMatrix da = la::random_rank_k<real_t>(tile, tile, 12, rng);
-      const la::DMatrix db = la::random_rank_k<real_t>(tile, tile, 12, rng);
-      as.push_back(lowrank_a
-                       ? lr::compress_to_tile(lr::CompressionKind::Rrqr,
-                                              da.cview(), 1e-8)
-                       : lr::Tile::from_dense(la::DMatrix(da)));
-      bs.push_back(lr::compress_to_tile(lr::CompressionKind::Rrqr, db.cview(),
-                                        1e-8));
-      kc.kind = lr::CompressionKind::Rrqr;
-      kc.tolerance = 1e-8;
-      kc.need_ortho = false;
-      kc.out_cat = MemCategory::Workspace;
-    }
-  }
-  // Tile vectors are stable now — take the operand pointers.
-  for (std::size_t e = 0; e < count && op == core::KernelOp::Gemm; ++e) {
-    ctxs[e].a = &as[e];
-    ctxs[e].b = &bs[e];
-  }
-  std::vector<core::KernelCtx*> ptrs(count);
-  for (std::size_t e = 0; e < count; ++e) ptrs[e] = &ctxs[e];
-
-  auto& reg = core::KernelDispatch::instance();
-  BatchedRow row;
-  row.op = label;
-  row.tile = tile;
-  row.batch = count;
-  row.eager_s = best_seconds(trials, reps, [&] {
-    for (std::size_t e = 0; e < count; ++e)
-      reg.run(op, ra, core::Prec::Fp64, rb, core::Prec::Fp64, ctxs[e]);
-  });
-  row.batched_s = best_seconds(trials, reps, [&] {
-    reg.run_batch(op, ra, core::Prec::Fp64, rb, core::Prec::Fp64, ptrs.data(),
-                  count, pool);
-  });
-  row.speedup = row.eager_s / row.batched_s;
-  return row;
-}
-
-struct E2eResult {
-  double off_s = 0, on_s = 0, speedup = 0;
-  core::BatchExecStats batch;
-};
-
-E2eResult measure_e2e(int threads) {
-  const index_t g = 12;
-  const sparse::CscMatrix a = sparse::convection_diffusion_3d(g, g, g, 0.5);
-  SolverOptions o;
-  o.strategy = Strategy::JustInTime;
-  o.threads = threads;
-  E2eResult r;
-  {
-    o.batching = core::Batching::Off;
-    Solver s(o);
-    Timer t;
-    s.factorize(a);
-    r.off_s = t.elapsed();
-  }
-  {
-    o.batching = core::Batching::PerSupernode;
-    Solver s(o);
-    Timer t;
-    s.factorize(a);
-    r.on_s = t.elapsed();
-    r.batch = s.stats().batch;
-  }
-  r.speedup = r.off_s / r.on_s;
-  return r;
-}
-
-int bench_threads() {
-  const char* v = std::getenv("BLR_BENCH_THREADS");
-  if (v) return std::atoi(v);
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 1 ? static_cast<int>(hc) : 1;
-}
-
 int run_custom_driver(bool quick) {
   const int trials = quick ? 3 : 5;
   int failures = 0;
@@ -342,51 +229,6 @@ int run_custom_driver(bool quick) {
                 static_cast<long long>(r.n), r.backend, isa.c_str(), r.gflops);
   }
 
-  std::printf("== batched vs eager dispatch (threads=%d) ==\n",
-              bench_threads());
-  ThreadPool pool(bench_threads(), SchedulerKind::WorkStealing);
-  std::vector<BatchedRow> batched;
-  struct OpCase {
-    const char* label;
-    core::KernelOp op;
-    bool lowrank_a;
-  };
-  const OpCase ops[] = {
-      {"gemm[lr,lr]", core::KernelOp::Gemm, true},
-      {"gemm[ge,lr]", core::KernelOp::Gemm, false},
-      {"compress[ge]", core::KernelOp::Compress, false},
-  };
-  for (const OpCase& oc : ops) {
-    for (const index_t tile : {index_t(64), index_t(128), index_t(256)}) {
-      if (quick && tile == 128) continue;
-      for (const std::size_t count : {std::size_t(1), std::size_t(8),
-                                      std::size_t(64)}) {
-        if (quick && count == 8) continue;
-        const int reps = tile >= 256 || count >= 64 ? 2 : 10;
-        batched.push_back(measure_batched(oc.label, oc.op, oc.lowrank_a, tile,
-                                          count, &pool, trials, reps));
-        const BatchedRow& b = batched.back();
-        std::printf("  %-13s tile=%-4lld batch=%-3zu eager %9.3f ms  "
-                    "batched %9.3f ms  speedup %.2fx\n",
-                    b.op.c_str(), static_cast<long long>(b.tile), b.batch,
-                    b.eager_s * 1e3, b.batched_s * 1e3, b.speedup);
-      }
-    }
-  }
-
-  std::printf("== end-to-end Just-In-Time factorization, batching off/on ==\n");
-  const E2eResult e2e = measure_e2e(bench_threads());
-  std::printf("  off %.3f s   on %.3f s   speedup %.2fx   "
-              "(%llu batches, avg %.1f, fill %.2f, %llu pack hits)\n",
-              e2e.off_s, e2e.on_s, e2e.speedup,
-              static_cast<unsigned long long>(e2e.batch.batches),
-              e2e.batch.avg_batch, e2e.batch.fill_ratio,
-              static_cast<unsigned long long>(e2e.batch.pack_hits));
-  if (e2e.batch.batches == 0) {
-    std::printf("FAIL: no batches formed under Batching::PerSupernode\n");
-    ++failures;
-  }
-
   std::FILE* out = std::fopen("bench_kernels.json", "w");
   if (out) {
     std::fprintf(out, "{\n  \"packed_gemm\": [\n");
@@ -408,25 +250,7 @@ int run_custom_driver(bool quick) {
                    r.backend, r.isa.c_str(), static_cast<long long>(r.n),
                    r.gflops, i + 1 < backends.size() ? "," : "");
     }
-    std::fprintf(out, "  ],\n  \"batched_dispatch\": [\n");
-    for (std::size_t i = 0; i < batched.size(); ++i) {
-      const BatchedRow& b = batched[i];
-      std::fprintf(out,
-                   "    {\"op\": \"%s\", \"tile\": %lld, \"batch\": %zu, "
-                   "\"eager_s\": %.6f, \"batched_s\": %.6f, "
-                   "\"speedup\": %.3f}%s\n",
-                   b.op.c_str(), static_cast<long long>(b.tile), b.batch,
-                   b.eager_s, b.batched_s, b.speedup,
-                   i + 1 < batched.size() ? "," : "");
-    }
-    std::fprintf(out,
-                 "  ],\n  \"e2e_jit\": {\"off_s\": %.4f, \"on_s\": %.4f, "
-                 "\"speedup\": %.3f, \"batches\": %llu, \"avg_batch\": %.2f, "
-                 "\"fill_ratio\": %.4f, \"pack_hits\": %llu}\n}\n",
-                 e2e.off_s, e2e.on_s, e2e.speedup,
-                 static_cast<unsigned long long>(e2e.batch.batches),
-                 e2e.batch.avg_batch, e2e.batch.fill_ratio,
-                 static_cast<unsigned long long>(e2e.batch.pack_hits));
+    std::fprintf(out, "  ]\n}\n");
     std::fclose(out);
     std::printf("wrote bench_kernels.json\n");
   }

@@ -90,8 +90,7 @@ run_docs() {
 
 # Performance smoke: Release builds of bench_kernels and bench_refactorize
 # run in --quick mode. Each bench enforces its own floor — packed gemm must
-# not be >10% slower than the old loop nests at n=k=256, the
-# Batching::PerSupernode end-to-end run must actually form batches, and the
+# not be >10% slower than the old loop nests at n=k=256, and the
 # re-factorization trajectory must actually reuse the plan/buffers/rank
 # hints — and exits nonzero otherwise. The JSON reports are copied over the
 # committed BENCH_*.json so the last green perfsmoke numbers travel with the
@@ -107,7 +106,7 @@ run_perfsmoke() {
   cp build-ci-perfsmoke/bench_kernels.json BENCH_kernels.json
   cp build-ci-perfsmoke/bench_refactorize.json BENCH_refactorize.json
   python3 scripts/bench_trajectory.py BENCH_kernels.json BENCH_refactorize.json
-  echo "ci[perfsmoke]: packed gemm, batching and refactorize reuse within bounds"
+  echo "ci[perfsmoke]: packed gemm and refactorize reuse within bounds"
 }
 
 # Backend A/B: the full tier-1 suite twice against ONE Debug build — once

@@ -28,14 +28,6 @@ constexpr int kSpinRounds = 32;
 
 } // namespace
 
-const char* scheduler_name(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::WorkStealing: return "work-stealing";
-    case SchedulerKind::SharedQueue: return "shared-queue";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Chase–Lev deque
 //
@@ -119,7 +111,7 @@ ThreadPool::Task* ThreadPool::Deque::steal() {
 // Pool
 // ---------------------------------------------------------------------------
 
-ThreadPool::ThreadPool(int num_threads, SchedulerKind kind) : kind_(kind) {
+ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
     if (num_threads <= 0) num_threads = 1;
@@ -143,10 +135,6 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(sleep_mutex_);
   }
   cv_task_.notify_all();
-  if (kind_ == SchedulerKind::SharedQueue) {
-    std::lock_guard lock(shared_mutex_);
-  }
-  cv_shared_.notify_all();
   for (auto& t : threads_) t.join();
   // Workers drain every queued task before exiting, so nothing leaks here.
 }
@@ -157,15 +145,6 @@ void ThreadPool::submit(std::function<void()> task, std::int64_t priority) {
   Task* t = new Task{std::move(task), priority,
                      seq_.fetch_add(1, std::memory_order_relaxed)};
   pending_.fetch_add(1, std::memory_order_seq_cst);
-
-  if (kind_ == SchedulerKind::SharedQueue) {
-    {
-      std::lock_guard lock(shared_mutex_);
-      shared_.push_back(t);
-    }
-    cv_shared_.notify_one();
-    return;
-  }
 
   if (tl_pool == this && tl_worker >= 0) {
     workers_[static_cast<std::size_t>(tl_worker)]->deque.push(t);
@@ -258,25 +237,6 @@ void ThreadPool::worker_loop(int id) {
   tl_pool = this;
   tl_worker = id;
   Worker& me = *workers_[static_cast<std::size_t>(id)];
-
-  if (kind_ == SchedulerKind::SharedQueue) {
-    for (;;) {
-      Task* t = nullptr;
-      {
-        std::unique_lock lock(shared_mutex_);
-        if (shared_.empty()) {
-          me.idle_sleeps.fetch_add(1, std::memory_order_relaxed);
-          cv_shared_.wait(lock, [this] {
-            return stop_.load(std::memory_order_relaxed) || !shared_.empty();
-          });
-        }
-        if (shared_.empty()) return;  // stopped and drained
-        t = shared_.front();
-        shared_.pop_front();
-      }
-      run_task(t, me);
-    }
-  }
 
   for (;;) {
     Task* t = me.deque.pop();

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -15,25 +14,13 @@
 
 namespace blr {
 
-/// Task scheduler flavour of the worker pool.
-enum class SchedulerKind {
-  /// Per-worker Chase–Lev deques (LIFO local push/pop, FIFO random steal)
-  /// plus a priority heap for submissions from non-worker threads. This is
-  /// the default: the numeric factorization submits supernode eliminations
-  /// with their critical-path priority and lets idle workers steal.
-  WorkStealing,
-  /// The original single mutex-protected FIFO queue. Kept so benches can
-  /// A/B the schedulers; ignores task priorities.
-  SharedQueue,
-};
-
-const char* scheduler_name(SchedulerKind k);
-
-/// Fixed-size worker pool executing the solver's elimination task graph.
+/// Fixed-size work-stealing worker pool executing the solver's task graphs.
 ///
-/// Two scheduling substrates are available behind the same interface (see
-/// SchedulerKind). Both keep the same guarantees: submit() never blocks,
-/// tasks may submit further tasks, and wait_idle() returns only once every
+/// Per-worker Chase–Lev deques (LIFO local push/pop, FIFO random steal) plus
+/// a priority heap for submissions from non-worker threads: the numeric
+/// factorization submits supernode eliminations with their critical-path
+/// priority and lets idle workers steal. submit() never blocks, tasks may
+/// submit further tasks, and wait_idle() returns only once every
 /// transitively submitted task has finished.
 class ThreadPool {
 public:
@@ -47,17 +34,16 @@ public:
   };
 
   /// Creates @p num_threads workers. 0 means std::thread::hardware_concurrency().
-  explicit ThreadPool(int num_threads = 0,
-                      SchedulerKind kind = SchedulerKind::WorkStealing);
+  explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Schedule a task. Never blocks. Larger @p priority runs earlier among
-  /// tasks waiting in the injection heap (work-stealing scheduler only;
-  /// worker-local submissions run LIFO, which already favours the chain the
-  /// submitting task just extended).
+  /// tasks waiting in the injection heap (worker-local submissions run
+  /// LIFO, which already favours the chain the submitting task just
+  /// extended).
   void submit(std::function<void()> task, std::int64_t priority = 0);
 
   /// Block until every submitted task (including tasks submitted by running
@@ -86,7 +72,6 @@ public:
   }
 
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
-  [[nodiscard]] SchedulerKind kind() const { return kind_; }
 
   /// Run f(i) for i in [0, n) across the pool and wait for completion.
   /// Work is chunked to limit queue traffic. Safe to call from inside a
@@ -162,21 +147,15 @@ private:
     }
   };
 
-  SchedulerKind kind_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  // Injection heap (work-stealing): submissions from non-worker threads.
+  // Injection heap: submissions from non-worker threads.
   std::mutex inject_mutex_;
   std::priority_queue<Task*, std::vector<Task*>, HeapCmp> inject_;
   std::atomic<std::int64_t> inject_count_{0};
 
-  // Shared FIFO (SchedulerKind::SharedQueue).
-  std::mutex shared_mutex_;
-  std::condition_variable cv_shared_;
-  std::deque<Task*> shared_;
-
-  // Sleep / wake / idle protocol (work-stealing) and idle wait (both kinds).
+  // Sleep / wake / idle protocol and idle wait.
   std::mutex sleep_mutex_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;

@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "common/kernel_stats.hpp"
-#include "core/kernel_batch.hpp"
 #include "core/kernels_dispatch.hpp"
 
 namespace blr::core {
@@ -664,17 +663,8 @@ void NumericFactor::dag_compress(const DagTask& t) {
   lr::Tile& blk =
       (t.upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(t.bi)];
   const symbolic::Blok& sb = sf_.cblk(t.k).bloks[static_cast<std::size_t>(t.bi)];
-  if (opts_.batching == Batching::PerSupernode) {
-    // Per-task batches are width-1, but the kernels still route through
-    // run_batch so batching counters and the pack cache stay engaged.
-    KernelBatch batch(nullptr);
-    policy_->at_elimination(t.k, BlockSite{t.bi, t.upper}, blk,
-                            compressible(t.k, sb), pctx_, &batch);
-    batch.execute();
-  } else {
-    policy_->at_elimination(t.k, BlockSite{t.bi, t.upper}, blk,
-                            compressible(t.k, sb), pctx_, nullptr);
-  }
+  policy_->at_elimination(t.k, BlockSite{t.bi, t.upper}, blk,
+                          compressible(t.k, sb), pctx_);
   epochs_->advance(addr, EpochGate::kAssembled, EpochGate::kEliminating);
 }
 
@@ -685,24 +675,9 @@ void NumericFactor::dag_trsm(const DagTask& t) {
   CblkData& cd = data_[static_cast<std::size_t>(t.k)];
   lr::Tile& blk =
       (t.upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(t.bi)];
-  if (blk.rank() == 0) {
-    blk.advance(lr::TileState::Factored);
-  } else if (opts_.batching == Batching::PerSupernode) {
-    KernelBatch batch(nullptr);
-    lr::Tile* bp = &blk;
-    KernelCtx& kc = batch.enqueue(
-        KernelOp::Trsm, rep_of(blk), prec_of(blk), Rep::None, Prec::Fp64,
-        [bp](KernelCtx&) { bp->advance(lr::TileState::Factored); });
-    kc.c = bp;
-    kc.diag = &cd.diag.dense();
-    kc.piv = &cd.ipiv;
-    kc.llt = llt_;
-    kc.upper = t.upper;
-    batch.execute();
-  } else {
+  if (blk.rank() != 0)
     dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, t.upper);
-    blk.advance(lr::TileState::Factored);
-  }
+  blk.advance(lr::TileState::Factored);
   if (opts_.check_finite && !all_finite(blk)) {
     std::ostringstream os;
     os << "non-finite value in " << (t.upper ? "U panel" : "L panel")
@@ -734,24 +709,8 @@ void NumericFactor::dag_product(const DagTask& t) {
     // whole update defers to the (chained) apply task.
     slot->dense_pair = true;
   } else {
-    const bool need_ortho = update_need_ortho(slot->loc);
-    if (opts_.batching == Batching::PerSupernode) {
-      KernelBatch batch(nullptr);
-      DagUpdateSlot* s = slot.get();
-      KernelCtx& kc = batch.enqueue(
-          KernelOp::Gemm, rep_of(*a), prec_of(*a), rep_of(*b), prec_of(*b),
-          [s](KernelCtx& done) { s->prod = std::move(done.out); });
-      kc.a = a;
-      kc.b = b;
-      kc.kind = opts_.kind;
-      kc.tolerance = opts_.tolerance;
-      kc.need_ortho = need_ortho;
-      kc.out_cat = MemCategory::Workspace;
-      batch.execute();
-    } else {
-      slot->prod =
-          dispatch::product(*a, *b, opts_.kind, opts_.tolerance, need_ortho);
-    }
+    slot->prod = dispatch::product(*a, *b, opts_.kind, opts_.tolerance,
+                                   update_need_ortho(slot->loc));
   }
   dag_slots_[t.slot] = std::move(slot);
 }
@@ -785,12 +744,10 @@ void NumericFactor::eliminate(index_t k) {
     // Right-looking updates on the trailing supernodes. Large panels are
     // split into 1D column-blok segments submitted as subtasks, so the
     // updates of one huge supernode spread across the pool instead of
-    // pinning a single worker (work-stealing scheduler only: a subtask
-    // storm on the shared queue just adds contention).
+    // pinning a single worker.
     const symbolic::Cblk& c = sf_.cblk(k);
     const index_t nb = static_cast<index_t>(c.bloks.size());
     const bool split = pool_ != nullptr &&
-                       pool_->kind() == SchedulerKind::WorkStealing &&
                        opts_.panel_split_rows > 0 && nb >= 2 &&
                        c.height() >= opts_.panel_split_rows;
     if (!split) {
@@ -840,10 +797,6 @@ void NumericFactor::eliminate(index_t k) {
 
 void NumericFactor::update_range(index_t k, index_t jb, index_t je) {
   if (failed_.load(std::memory_order_relaxed)) return;
-  if (opts_.batching == Batching::PerSupernode) {
-    update_range_batched(k, jb, je);
-    return;
-  }
   try {
     const symbolic::Cblk& c = sf_.cblk(k);
     const index_t nb = static_cast<index_t>(c.bloks.size());
@@ -862,106 +815,6 @@ void NumericFactor::update_range(index_t k, index_t jb, index_t je) {
           pool_->submit([this, target] { eliminate(target); },
                         prio[static_cast<std::size_t>(target)]);
         }
-      }
-    }
-  } catch (ResourceError& e) {
-    stamp_resource(e.report(), k);
-    record_resource_failure(std::move(e.report()));
-  } catch (const NumericalError& e) {
-    record_failure(e.report());
-  } catch (const std::exception& e) {
-    record_failure(make_report(FailureKind::Unknown, k, -1, std::nan(""),
-                               e.what()));
-  }
-}
-
-void NumericFactor::update_range_batched(index_t k, index_t jb, index_t je) {
-  try {
-    const symbolic::Cblk& c = sf_.cblk(k);
-    const index_t nb = static_cast<index_t>(c.bloks.size());
-    CblkData& cd = data_[static_cast<std::size_t>(k)];
-    const auto& prio = sf_.critical_priorities();
-
-    // Phase 1: locate every update of the range and enqueue the contribution
-    // products. The operands are factored tiles of supernode k (immutable
-    // from here on), so the products are independent and free of the target
-    // locks — exactly what run_batch requires. Dense×dense pairs are NOT
-    // pre-batched: they fuse into the target, whose representation can
-    // change under the lock between now and the finish phase.
-    struct Pending {
-      UpdateLoc loc;
-      const lr::Tile* a = nullptr;
-      const lr::Tile* b = nullptr;
-      lr::Tile out;              // product result, harvested by the completion
-      bool batched = false;      // product deferred to the batch
-      bool dense_pair = false;   // fused path, runs in the finish phase
-      bool zero = false;         // rank-0 operand: only the counter drains
-    };
-    // pending must never reallocate: batched entries' completions capture
-    // pointers to their Pending slot. The reserve below is an exact upper
-    // bound on the number of pushes.
-    std::vector<Pending> pending;
-    pending.reserve(static_cast<std::size_t>((je - jb) * nb));
-    KernelBatch batch(pool_);
-    for (index_t j = jb; j < je; ++j) {
-      for (index_t i = llt_ ? j : 0; i < nb; ++i) {
-        if (failed_.load(std::memory_order_relaxed)) return;
-        poll_deadline(k);
-        Pending pd;
-        pd.loc = locate_update(k, i, j);
-        pd.a = &cd.lpanel[static_cast<std::size_t>(i)];
-        pd.b = llt_ ? &cd.lpanel[static_cast<std::size_t>(j)]
-                    : &cd.upanel[static_cast<std::size_t>(j)];
-        if (pd.a->rank() == 0 || pd.b->rank() == 0) {
-          pd.zero = true;
-        } else if (!pd.a->is_lowrank() && !pd.b->is_lowrank()) {
-          pd.dense_pair = true;
-        } else {
-          pd.batched = true;
-        }
-        const bool batched_entry = pd.batched;
-        pending.push_back(std::move(pd));
-        if (batched_entry) {
-          // The KernelCtx (and its `out` tile) dies when execute() clears the
-          // batch, so the completion — which runs before the clear — moves
-          // the product into the Pending slot for the finish phase.
-          Pending* slot = &pending.back();
-          KernelCtx& kc = batch.enqueue(
-              KernelOp::Gemm, rep_of(*slot->a), prec_of(*slot->a),
-              rep_of(*slot->b), prec_of(*slot->b),
-              [slot](KernelCtx& done) { slot->out = std::move(done.out); });
-          kc.a = slot->a;
-          kc.b = slot->b;
-          kc.kind = opts_.kind;
-          kc.tolerance = opts_.tolerance;
-          kc.need_ortho = update_need_ortho(slot->loc);
-          kc.out_cat = MemCategory::Workspace;
-        }
-      }
-    }
-    batch.execute();
-
-    // Phase 2: sequential finish in the eager pair order — every mutation of
-    // shared engine state (extend-adds, LUAR appends, dependency counters)
-    // happens on this thread in exactly the order the eager loop would
-    // produce, which is what makes Off-vs-PerSupernode bit-identical for the
-    // sequential schedule.
-    for (Pending& pd : pending) {
-      if (failed_.load(std::memory_order_relaxed)) return;
-      if (!pd.zero) {
-        if (pd.dense_pair) {
-          dense_dense_update(pd.loc, *pd.a, *pd.b);
-        } else {
-          finish_update(pd.loc, std::move(pd.out));
-        }
-      }
-      const index_t target = pd.loc.tcblk;
-      const index_t left =
-          deps_[static_cast<std::size_t>(target)].fetch_sub(1,
-                                                            std::memory_order_acq_rel) - 1;
-      if (left == 0 && pool_ != nullptr) {
-        pool_->submit([this, target] { eliminate(target); },
-                      prio[static_cast<std::size_t>(target)]);
       }
     }
   } catch (ResourceError& e) {
@@ -1023,62 +876,32 @@ void NumericFactor::factor_panel(index_t k) {
     // the blocks that are (still) dense — e.g. after an extend-add
     // transiently exceeded the storage-beneficial rank — which keeps the
     // final factor size of the scenarios similar, as the paper reports.
-    const bool batched = opts_.batching == Batching::PerSupernode;
-    {
-      // Under PerSupernode the policy enqueues its compressions into one
-      // batch per supernode (executed at the panel boundary below) instead
-      // of dispatching them eagerly; the completions install the results in
-      // the same order the eager loop would.
-      KernelBatch compress_batch(pool_);
-      const auto hook_panel = [&](std::vector<lr::Tile>& panel, bool upper) {
-        for (std::size_t idx = 0; idx < panel.size(); ++idx) {
-          // Early exit at panel granularity once a sibling has failed.
-          if (failed_.load(std::memory_order_relaxed)) return;
-          policy_->at_elimination(k, BlockSite{static_cast<index_t>(idx), upper},
-                                  panel[idx], compressible(k, c.bloks[idx]),
-                                  pctx_, batched ? &compress_batch : nullptr);
-        }
-      };
-      hook_panel(cd.lpanel, /*upper=*/false);
-      if (!llt_) hook_panel(cd.upanel, /*upper=*/true);
-      compress_batch.execute();
-      if (failed_.load(std::memory_order_relaxed)) return;
-    }
+    const auto hook_panel = [&](std::vector<lr::Tile>& panel, bool upper) {
+      for (std::size_t idx = 0; idx < panel.size(); ++idx) {
+        // Early exit at panel granularity once a sibling has failed.
+        if (failed_.load(std::memory_order_relaxed)) return;
+        policy_->at_elimination(k, BlockSite{static_cast<index_t>(idx), upper},
+                                panel[idx], compressible(k, c.bloks[idx]),
+                                pctx_);
+      }
+    };
+    hook_panel(cd.lpanel, /*upper=*/false);
+    if (!llt_) hook_panel(cd.upanel, /*upper=*/true);
+    if (failed_.load(std::memory_order_relaxed)) return;
 
-    {
-      // Panel solves: each TRSM reads the (now immutable) factored diagonal
-      // and mutates only its own tile, so the whole panel batches into one
-      // invocation. L and U tiles share the Trsm dispatch key — the upper
-      // flag travels per-entry in the ctx.
-      KernelBatch trsm_batch(pool_);
-      const auto solve_panel = [&](std::vector<lr::Tile>& panel, bool upper) {
-        for (auto& blk : panel) {
-          if (failed_.load(std::memory_order_relaxed)) return;
-          if (blk.rank() == 0) {
-            blk.advance(lr::TileState::Factored);
-            continue;
-          }
-          if (!batched) {
-            dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, upper);
-            blk.advance(lr::TileState::Factored);
-            continue;
-          }
-          lr::Tile* t = &blk;
-          KernelCtx& kc = trsm_batch.enqueue(
-              KernelOp::Trsm, rep_of(blk), prec_of(blk), Rep::None, Prec::Fp64,
-              [t](KernelCtx&) { t->advance(lr::TileState::Factored); });
-          kc.c = t;
-          kc.diag = &cd.diag.dense();
-          kc.piv = &cd.ipiv;
-          kc.llt = llt_;
-          kc.upper = upper;
-        }
-      };
-      solve_panel(cd.lpanel, /*upper=*/false);
-      if (!llt_) solve_panel(cd.upanel, /*upper=*/true);
-      trsm_batch.execute();
-      if (failed_.load(std::memory_order_relaxed)) return;
-    }
+    // Panel solves: each TRSM reads the (now immutable) factored diagonal
+    // and mutates only its own tile.
+    const auto solve_panel = [&](std::vector<lr::Tile>& panel, bool upper) {
+      for (auto& blk : panel) {
+        if (failed_.load(std::memory_order_relaxed)) return;
+        if (blk.rank() != 0)
+          dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, upper);
+        blk.advance(lr::TileState::Factored);
+      }
+    };
+    solve_panel(cd.lpanel, /*upper=*/false);
+    if (!llt_) solve_panel(cd.upanel, /*upper=*/true);
+    if (failed_.load(std::memory_order_relaxed)) return;
     // Guard the factored panel: overflow/NaN escaping the diagonal
     // factorization or the triangular solves is caught here instead of
     // surfacing as an inexplicably wrong solution.
@@ -1349,65 +1172,31 @@ bool NumericFactor::run_solve_task(const SolveTask& t, la::DView x) const {
   return true;
 }
 
-void NumericFactor::solve_seq(la::DView x, ThreadPool* batch_pool,
-                              std::uint64_t& ops) const {
+void NumericFactor::solve_seq(la::DView x, std::uint64_t& ops) const {
   const index_t ncblk = sf_.num_cblks();
-  const index_t nrhs = x.cols;
-  const bool batching = opts_.batching == Batching::PerSupernode;
-  KernelBatch batch(batch_pool);
 
-  // Forward substitution: L·Y = (locally pivoted) B. A supernode's panel
-  // updates write disjoint row segments, so under PerSupernode batching they
-  // group into same-shape batched dispatches (fp32 tiles resolve through the
-  // widen cache first, so every batched operand pair is stable fp64 — the
-  // pack cache can reuse operand images across solves).
+  // Forward substitution: L·Y = (locally pivoted) B.
   for (index_t k = 0; k < ncblk; ++k) {
-    const symbolic::Cblk& c = sf_.cblk(k);
     const CblkData& cd = data_[static_cast<std::size_t>(k)];
-    la::DView xk = x.sub(c.fcol, 0, c.width(), nrhs);
-    dispatch::solve_trsm(cd.diag, cd.ipiv, xk, llt_, /*backward=*/false);
+    solve_fwd_diag(k, x);
     ++ops;
-    for (std::size_t idx = 0; idx < c.bloks.size(); ++idx) {
-      const lr::Tile& blk = cd.lpanel[idx];
-      if (blk.rank() == 0) continue;
-      la::DView xi = x.sub(c.bloks[idx].frow, 0, c.bloks[idx].height(), nrhs);
-      la::DConstView u, v;
-      if (blk.is_lowrank())
-        solve_lr_views(k, static_cast<index_t>(idx), /*upper=*/false, blk, u, v);
-      if (batching) {
-        KernelCtx& kc =
-            batch.enqueue(KernelOp::SolveGemm, rep_of(blk), prec_of(blk),
-                          Rep::None, Prec::Fp64);
-        dispatch::position_solve_gemm(kc, blk, u, v, la::DConstView(xk), xi,
-                                      /*backward=*/false);
-      } else {
-        dispatch::solve_gemm(blk, u, v, la::DConstView(xk), xi,
-                             /*backward=*/false);
-      }
+    for (std::size_t idx = 0; idx < cd.lpanel.size(); ++idx) {
+      if (cd.lpanel[idx].rank() == 0) continue;
+      solve_fwd_upd(k, static_cast<index_t>(idx), x);
       ++ops;
     }
-    batch.execute();  // no-op when empty; targets within k are disjoint
   }
 
-  // Backward substitution: U·X = Y (or Lᵗ·X = Y for Cholesky). Every update
-  // of supernode k accumulates into the SAME xk segment, so this sweep stays
-  // eager — batching would reorder a reduction and break bit-identity.
+  // Backward substitution: U·X = Y (or Lᵗ·X = Y for Cholesky).
   for (index_t k = ncblk - 1; k >= 0; --k) {
-    const symbolic::Cblk& c = sf_.cblk(k);
     const CblkData& cd = data_[static_cast<std::size_t>(k)];
-    la::DView xk = x.sub(c.fcol, 0, c.width(), nrhs);
-    for (std::size_t idx = 0; idx < c.bloks.size(); ++idx) {
-      const lr::Tile& blk = llt_ ? cd.lpanel[idx] : cd.upanel[idx];
-      if (blk.rank() == 0) continue;
-      const la::DConstView xi =
-          x.sub(c.bloks[idx].frow, 0, c.bloks[idx].height(), nrhs);
-      la::DConstView u, v;
-      if (blk.is_lowrank())
-        solve_lr_views(k, static_cast<index_t>(idx), /*upper=*/!llt_, blk, u, v);
-      dispatch::solve_gemm(blk, u, v, xi, xk, /*backward=*/true);
+    const std::vector<lr::Tile>& panel = llt_ ? cd.lpanel : cd.upanel;
+    for (std::size_t idx = 0; idx < panel.size(); ++idx) {
+      if (panel[idx].rank() == 0) continue;
+      solve_bwd_upd(k, static_cast<index_t>(idx), x);
       ++ops;
     }
-    dispatch::solve_trsm(cd.diag, cd.ipiv, xk, llt_, /*backward=*/true);
+    solve_bwd_diag(k, x);
     ++ops;
   }
 }
@@ -1427,7 +1216,7 @@ void NumericFactor::solve_split(la::DView x, ThreadPool* pool,
     const index_t c0 = i * base + std::min(i, rem);
     const index_t w = base + (i < rem ? 1 : 0);
     std::uint64_t local = 0;
-    solve_seq(x.sub(0, c0, x.rows, w), nullptr, local);
+    solve_seq(x.sub(0, c0, x.rows, w), local);
     ops.fetch_add(local, std::memory_order_relaxed);
   });
   ri.tasks += ops.load(std::memory_order_relaxed);
@@ -1475,7 +1264,7 @@ void NumericFactor::solve_permuted(la::DView x, SolveRunInfo* info) const {
   }
   if (!done) {
     std::uint64_t ops = 0;
-    solve_seq(x, nullptr, ops);
+    solve_seq(x, ops);
     ri.tasks += ops;
     ri.plan_reused = false;
   }

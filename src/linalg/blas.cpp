@@ -1,7 +1,6 @@
 #include "linalg/blas.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <new>
 
 #include "linalg/backend.hpp"
@@ -102,7 +101,7 @@ void gemm_nests(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
   else gemm_tt(alpha, a, b, c);
 }
 
-// ---- Packed gemm: packing + per-thread pack cache ------------------------
+// ---- Packed gemm: packing into per-thread buffers ------------------------
 //
 // BLIS-style structure: op(A) is packed into MR-row panels and op(B) into
 // NR-column panels (alpha folded in at pack time), then an MR×NR register
@@ -112,54 +111,22 @@ void gemm_nests(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
 // unblocked because BLR tiles are at most a few hundred columns wide. All
 // four transpose cases route through the one packed path — the transpose is
 // absorbed by the packing order, which always reads source columns
-// contiguously. The packing and the cache live here (one copy, baseline
+// contiguously. The packing and its buffers live here (one copy, baseline
 // flags); the microkernel walk is per-ISA (kernels_isa_body.inc), selected
 // at runtime through detail::native_kernels().
 
-std::atomic<std::uint64_t> g_pack_hits{0};
-std::atomic<std::uint64_t> g_pack_misses{0};
-std::atomic<std::uint64_t> g_pack_bytes{0};
-std::atomic<std::uint64_t> g_scope_counter{0};
-thread_local std::uint64_t t_batch_scope = 0;  // 0: content reuse disabled
-thread_local const PackBatchScope* t_active_scope = nullptr;
-
-/// A pack buffer whose byte size exceeds this cap is released when the
-/// outermost PackBatchScope on its thread closes, so a single huge operand
-/// does not pin that much memory on a pool worker for the thread's lifetime.
-constexpr std::size_t kPackRetainBytes = std::size_t(8) << 20;
-
-/// Content reuse is restricted to operands the active scope registered as
-/// stable: a recycled heap temporary can reappear at the same address with
-/// the same shape within one scope, so pointer identity alone proves
-/// nothing for unregistered memory.
-bool pack_stable(const void* p) {
-  return t_active_scope != nullptr && t_active_scope->contains(p);
-}
-
-/// Identity of a packed operand. A cached image is valid only within the
-/// batch scope that produced it (`scope`), because between scopes the engine
-/// may rewrite a tile through the same pointer.
-struct PackKey {
-  const void* ptr = nullptr;
-  index_t rows = 0, cols = 0, ld = 0;
-  int trans = -1;
-  double scale = 0.0;
-  std::uint64_t scope = 0;
-
-  bool operator==(const PackKey&) const = default;
-};
-
+/// An aligned pack buffer, one per operand side per thread. It persists
+/// across calls and only grows, so the packed path allocates nothing once a
+/// thread has seen its largest operand.
 template <typename T>
 struct PackBuffer {
   T* data = nullptr;
   std::size_t cap = 0;
-  PackKey key;
 
   ~PackBuffer() { release(); }
 
   void release() {
     if (data == nullptr) return;
-    g_pack_bytes.fetch_sub(cap * sizeof(T), std::memory_order_relaxed);
     ::operator delete[](data, std::align_val_t{64});
     data = nullptr;
     cap = 0;
@@ -172,31 +139,21 @@ struct PackBuffer {
       data = static_cast<T*>(
           ::operator new[](grown * sizeof(T), std::align_val_t{64}));
       cap = grown;
-      g_pack_bytes.fetch_add(cap * sizeof(T), std::memory_order_relaxed);
     }
     return data;
   }
 };
 
 template <typename T>
-struct ThreadPackCache {
+struct ThreadPackBuffers {
   PackBuffer<T> a;
   PackBuffer<T> b;
 };
 
 template <typename T>
-ThreadPackCache<T>& pack_cache() {
-  thread_local ThreadPackCache<T> cache;
-  return cache;
-}
-
-/// Release this thread's buffers that grew past the retention cap. Called
-/// when the outermost batch scope closes — the buffers are idle then.
-template <typename T>
-void trim_pack_cache() {
-  auto& cache = pack_cache<T>();
-  if (cache.a.cap * sizeof(T) > kPackRetainBytes) cache.a.release();
-  if (cache.b.cap * sizeof(T) > kPackRetainBytes) cache.b.release();
+ThreadPackBuffers<T>& pack_buffers() {
+  thread_local ThreadPackBuffers<T> bufs;
+  return bufs;
 }
 
 /// Pack one mc×kc block of op(A) into MR-row panels: element (r, k) of
@@ -253,19 +210,11 @@ void pack_slab_b(ConstView<T> b, Trans trans, T alpha, index_t k0, index_t kc,
 }
 
 /// Pack all of op(A) (m×kk), blocked kKC×kMC in the microkernel walk's loop
-/// order. Returns the cached image without re-packing on a batch-scope key
-/// hit.
+/// order.
 template <typename T>
 const T* pack_a(PackBuffer<T>& buf, ConstView<T> a, Trans trans, index_t m,
                 index_t kk) {
   constexpr index_t MR = MicroTile<T>::MR;
-  const PackKey want{a.data, a.rows, a.cols, a.ld,
-                     trans == Trans::Yes ? 1 : 0, 1.0, t_batch_scope};
-  if (t_batch_scope != 0 && pack_stable(a.data) && buf.data != nullptr &&
-      buf.key == want) {
-    g_pack_hits.fetch_add(1, std::memory_order_relaxed);
-    return buf.data;
-  }
   std::size_t rows_rounded = 0;
   for (index_t ic = 0; ic < m; ic += kMC)
     rows_rounded += round_up(std::min(kMC, m - ic), MR);
@@ -278,8 +227,6 @@ const T* pack_a(PackBuffer<T>& buf, ConstView<T> a, Trans trans, index_t m,
       dst += static_cast<std::size_t>(round_up(mc, MR)) * kc;
     }
   }
-  buf.key = want;
-  g_pack_misses.fetch_add(1, std::memory_order_relaxed);
   return buf.data;
 }
 
@@ -289,22 +236,12 @@ template <typename T>
 const T* pack_b(PackBuffer<T>& buf, ConstView<T> b, Trans trans, T alpha,
                 index_t kk, index_t n) {
   constexpr index_t NR = MicroTile<T>::NR;
-  const PackKey want{b.data, b.rows, b.cols, b.ld,
-                     trans == Trans::Yes ? 1 : 0, static_cast<double>(alpha),
-                     t_batch_scope};
-  if (t_batch_scope != 0 && pack_stable(b.data) && buf.data != nullptr &&
-      buf.key == want) {
-    g_pack_hits.fetch_add(1, std::memory_order_relaxed);
-    return buf.data;
-  }
   T* dst = buf.ensure(static_cast<std::size_t>(round_up(n, NR)) * kk);
   for (index_t pc = 0; pc < kk; pc += kKC) {
     const index_t kc = std::min(kKC, kk - pc);
     pack_slab_b<T, NR>(b, trans, alpha, pc, kc, n, dst);
     dst += static_cast<std::size_t>(kc) * round_up(n, NR);
   }
-  buf.key = want;
-  g_pack_misses.fetch_add(1, std::memory_order_relaxed);
   return buf.data;
 }
 
@@ -384,9 +321,9 @@ void native_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
     gemm_nests(trans_a, trans_b, alpha, a, b, c);
     return;
   }
-  auto& cache = pack_cache<T>();
-  const T* ap = pack_a<T>(cache.a, a, trans_a, c.rows, kk);
-  const T* bp = pack_b<T>(cache.b, b, trans_b, alpha, kk, c.cols);
+  auto& bufs = pack_buffers<T>();
+  const T* ap = pack_a<T>(bufs.a, a, trans_a, c.rows, kk);
+  const T* bp = pack_b<T>(bufs.b, b, trans_b, alpha, kk, c.cols);
   detail::native_kernels().template gemm_packed<T>()(c.rows, c.cols, kk, ap,
                                                      bp, c.data, c.ld);
 }
@@ -413,42 +350,6 @@ const BackendVtable<T>& backend_vtable(Backend be) {
 }
 
 } // namespace
-
-PackCacheStats pack_cache_stats() {
-  PackCacheStats s;
-  s.hits = g_pack_hits.load(std::memory_order_relaxed);
-  s.misses = g_pack_misses.load(std::memory_order_relaxed);
-  s.bytes = g_pack_bytes.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_pack_cache_stats() {
-  g_pack_hits.store(0, std::memory_order_relaxed);
-  g_pack_misses.store(0, std::memory_order_relaxed);
-}
-
-PackBatchScope::PackBatchScope(const void* const* stable, std::size_t count)
-    : prev_(t_batch_scope),
-      prev_scope_(t_active_scope),
-      stable_(stable, stable + count) {
-  std::sort(stable_.begin(), stable_.end());
-  t_batch_scope = g_scope_counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  t_active_scope = this;
-}
-
-PackBatchScope::~PackBatchScope() {
-  t_batch_scope = prev_;
-  t_active_scope = prev_scope_;
-  if (t_batch_scope == 0) {
-    trim_pack_cache<float>();
-    trim_pack_cache<double>();
-  }
-}
-
-bool PackBatchScope::contains(const void* p) const {
-  return p != nullptr &&
-         std::binary_search(stable_.begin(), stable_.end(), p);
-}
 
 template <typename T>
 void gemm_unpacked(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,

@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "linalg/matrix.hpp"
 
@@ -31,61 +28,6 @@ void gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
 template <typename T>
 void gemm_unpacked(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
                    ConstView<T> b, T beta, MatView<T> c);
-
-// ---- Pack-cache instrumentation ------------------------------------------
-//
-// The packed gemm packs op(A) / op(B) into aligned, per-thread buffers. The
-// buffers persist across calls (no per-call allocation; each grows to the
-// largest operand its thread has packed and is trimmed back once it exceeds
-// a fixed cap when the outermost PackBatchScope on that thread closes, so
-// long-lived pool workers do not retain oversized buffers forever). Inside
-// a PackBatchScope a repeated operand (same pointer/shape/transpose/scale)
-// is recognised and not re-packed — the common case being one triangular
-// panel or low-rank factor shared by every entry of a kernel batch. Outside
-// a scope content reuse is disabled, because the engine may mutate a tile
-// between two eager calls through the same pointer.
-
-struct PackCacheStats {
-  std::uint64_t hits = 0;    ///< packs skipped: operand already in the cache
-  std::uint64_t misses = 0;  ///< operands actually packed
-  std::uint64_t bytes = 0;   ///< bytes currently held by all pack buffers
-};
-
-/// Process-wide pack counters (aggregated over every thread's cache).
-PackCacheStats pack_cache_stats();
-void reset_pack_cache_stats();
-
-/// RAII guard enabling pack-cache *content* reuse on this thread for the
-/// duration of one batched kernel invocation.
-///
-/// Reuse is opt-in per operand: only pointers listed in `stable` may hit
-/// the cache. A (pointer, shape, ld, trans, scale) key alone cannot prove a
-/// packed image is current — kernels allocate per-call heap temporaries,
-/// and the allocator can recycle a freed temporary at the same address with
-/// the same shape for the next batch entry, which would silently resurrect
-/// the previous entry's packed image. The batch layer therefore registers
-/// exactly the operand buffers it owns for the whole chunk (tile factors /
-/// dense storage, alive and unmutated until the batched invocation
-/// returns); everything else is re-packed unconditionally. Scopes do not
-/// nest meaningfully: the innermost one wins.
-class PackBatchScope {
-public:
-  /// `stable[0..count)` are the operand base pointers whose contents are
-  /// guaranteed not to change (and not to be freed) while this scope is
-  /// alive. Pass (nullptr, 0) for a scope with no content reuse.
-  PackBatchScope(const void* const* stable, std::size_t count);
-  ~PackBatchScope();
-  PackBatchScope(const PackBatchScope&) = delete;
-  PackBatchScope& operator=(const PackBatchScope&) = delete;
-
-  /// True when `p` was registered as stable with the active scope.
-  [[nodiscard]] bool contains(const void* p) const;
-
-private:
-  std::uint64_t prev_;
-  const PackBatchScope* prev_scope_;
-  std::vector<const void*> stable_;  // sorted for binary search
-};
 
 /// Triangular solve with multiple right-hand sides:
 ///   Side::Left : op(A) * X = alpha * B,  X overwrites B

@@ -131,98 +131,30 @@ TEST(Gemm, PackedPathStridedViews) {
             1e-10 * (1 + norm_fro(expected.cview())));
 }
 
-// The pack cache only operates under the Native backend — Reference never
-// packs — so these tests pin Native regardless of any BLR_BACKEND override
-// (the CI backend A/B stage runs the suite with it set).
-class PackCache : public ::testing::Test {
-protected:
-  void SetUp() override {
-    saved_ = la::current_backend();
-    la::set_backend(la::Backend::Native);
-  }
-  void TearDown() override { la::set_backend(saved_); }
-
-private:
-  la::Backend saved_ = la::Backend::Native;
-};
-
-// Regression: inside a PackBatchScope, a pointer+shape key match alone must
-// never serve a cached pack for memory the scope does not own. Mutating the
-// operand in place models the allocator recycling a freed kernel temporary
-// at the same address and shape between two batch entries — the old
-// pointer-keyed cache returned the previous entry's stale packed image.
-TEST_F(PackCache, UnregisteredOperandNeverReusesStaleImage) {
+// The per-thread pack buffers are reused across calls, never their
+// contents: a second gemm on the same operand buffer, mutated in place
+// (same pointer, same shape), must see the new values. Pins the Native
+// backend — Reference never packs — regardless of any BLR_BACKEND override.
+TEST(Gemm, PackedPathRepacksOperandMutatedInPlace) {
+  const la::Backend saved = la::current_backend();
+  la::set_backend(la::Backend::Native);
   Prng rng(41);
   const index_t m = 32, n = 32, k = 32;  // above the packed-path threshold
   DMatrix a(m, k), b(k, n), c(m, n);
   random_normal(a.view(), rng);
   random_normal(b.view(), rng);
-
-  PackBatchScope scope(nullptr, 0);  // no operand registered as stable
   fill(c.view(), real_t(0));
   gemm(Trans::No, Trans::No, real_t(1), a.cview(), b.cview(), real_t(0),
        c.view());
 
-  // Same pointer, same shape, same scope — different contents.
   for (index_t j = 0; j < b.cols(); ++j)
     for (index_t i = 0; i < b.rows(); ++i) b(i, j) = -2 * b(i, j) + 1;
   const DMatrix expected = ref_gemm(a, b, 1.0, c, 0.0);
   gemm(Trans::No, Trans::No, real_t(1), a.cview(), b.cview(), real_t(0),
        c.view());
+  la::set_backend(saved);
   EXPECT_LT(diff_fro(c.cview(), expected.cview()),
             1e-12 * (1 + norm_fro(expected.cview())));
-}
-
-// An operand registered as stable with the scope IS reused: the second gemm
-// sharing B skips B's repack (one cache hit) and still computes correctly.
-TEST_F(PackCache, StableOperandReusesPackAcrossCalls) {
-  Prng rng(43);
-  const index_t m = 32, n = 32, k = 32;
-  DMatrix a1(m, k), a2(m, k), b(k, n), c1(m, n), c2(m, n);
-  random_normal(a1.view(), rng);
-  random_normal(a2.view(), rng);
-  random_normal(b.view(), rng);
-  fill(c1.view(), real_t(0));
-  fill(c2.view(), real_t(0));
-
-  const std::uint64_t hits0 = pack_cache_stats().hits;
-  {
-    const void* stable[] = {b.data()};
-    PackBatchScope scope(stable, 1);
-    gemm(Trans::No, Trans::No, real_t(1), a1.cview(), b.cview(), real_t(0),
-         c1.view());
-    gemm(Trans::No, Trans::No, real_t(1), a2.cview(), b.cview(), real_t(0),
-         c2.view());
-  }
-  EXPECT_GE(pack_cache_stats().hits - hits0, 1u);
-
-  const DMatrix e1 = ref_gemm(a1, b, 1.0, c1, 0.0);
-  const DMatrix e2 = ref_gemm(a2, b, 1.0, c2, 0.0);
-  EXPECT_LT(diff_fro(c1.cview(), e1.cview()), 1e-12 * (1 + norm_fro(e1.cview())));
-  EXPECT_LT(diff_fro(c2.cview(), e2.cview()), 1e-12 * (1 + norm_fro(e2.cview())));
-}
-
-// Pack buffers past the retention cap (8 MiB) are released when the
-// thread's outermost scope closes instead of living for the thread's
-// lifetime.
-TEST_F(PackCache, OversizedBuffersTrimmedAtScopeExit) {
-  Prng rng(47);
-  const index_t m = 2048, n = 8, k = 600;  // packed A image ~9.8 MiB
-  DMatrix a(m, k), b(k, n), c(m, n);
-  random_normal(a.view(), rng);
-  random_normal(b.view(), rng);
-  fill(c.view(), real_t(0));
-
-  std::uint64_t inside = 0;
-  {
-    PackBatchScope scope(nullptr, 0);
-    gemm(Trans::No, Trans::No, real_t(1), a.cview(), b.cview(), real_t(0),
-         c.view());
-    inside = pack_cache_stats().bytes;
-  }
-  const std::uint64_t after = pack_cache_stats().bytes;
-  EXPECT_GE(inside, std::uint64_t(8) << 20);
-  EXPECT_GE(inside - after, std::uint64_t(8) << 20);  // big A buffer released
 }
 
 TEST(Gemm, BetaZeroIgnoresGarbageC) {

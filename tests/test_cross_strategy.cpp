@@ -1,6 +1,7 @@
 // Golden cross-strategy regression: every update policy (Minimal-Memory,
-// Just-In-Time, Adaptive) crossed with both compression kernels and both
-// parallel schedulers must solve the same seeded Laplacian to tolerance.
+// Just-In-Time, Adaptive) crossed with both compression kernels, run
+// sequentially and on the work-stealing pool, must solve the same seeded
+// Laplacian to tolerance.
 // Also pins the memory ordering the policies are designed around (MinMem <=
 // Adaptive <= Dense for tracked factor bytes) and the workspace footprint of
 // the Minimal-Memory scenario (contributions are tracked tiles; their
@@ -43,7 +44,6 @@ struct CrossConfig {
   Strategy strategy;
   lr::CompressionKind kind;
   int threads;
-  SchedulerKind scheduler;
 };
 
 class CrossStrategy : public ::testing::TestWithParam<CrossConfig> {};
@@ -54,7 +54,6 @@ TEST_P(CrossStrategy, SeededLaplacianSolvesToTolerance) {
   const real_t tol = 1e-8;
   SolverOptions opts = small_problem_options(cfg.strategy, cfg.kind, tol);
   opts.threads = cfg.threads;
-  opts.scheduler = cfg.scheduler;
 
   Solver solver(opts);
   solver.factorize(a);
@@ -87,11 +86,7 @@ std::string cross_name(const ::testing::TestParamInfo<CrossConfig>& info) {
     case Strategy::Dense: s += "Dense"; break;
   }
   s += c.kind == lr::CompressionKind::Svd ? "_SVD" : "_RRQR";
-  if (c.threads <= 1) {
-    s += "_Seq";
-  } else {
-    s += c.scheduler == SchedulerKind::WorkStealing ? "_WS" : "_SQ";
-  }
+  s += c.threads <= 1 ? "_Seq" : "_WS";
   return s;
 }
 
@@ -101,9 +96,8 @@ std::vector<CrossConfig> cross_matrix() {
        {Strategy::MinimalMemory, Strategy::JustInTime, Strategy::Adaptive}) {
     for (const lr::CompressionKind k :
          {lr::CompressionKind::Svd, lr::CompressionKind::Rrqr}) {
-      v.push_back({s, k, 1, SchedulerKind::WorkStealing});
-      v.push_back({s, k, 4, SchedulerKind::SharedQueue});
-      v.push_back({s, k, 4, SchedulerKind::WorkStealing});
+      v.push_back({s, k, 1});
+      v.push_back({s, k, 4});
     }
   }
   return v;

@@ -1,6 +1,6 @@
 // Parallel-vs-sequential agreement: for every strategy × factorization kind
-// on generator matrices, the parallel factorization (both scheduler kinds,
-// several thread counts, panel splitting forced on) must reproduce the
+// on generator matrices, the parallel factorization (several thread counts,
+// panel splitting forced on) must reproduce the
 // sequential run's residual and storage within floating-point tolerance.
 
 #include <gtest/gtest.h>
@@ -19,13 +19,12 @@ struct Case {
   Factorization facto;
 };
 
-SolverOptions base_opts(const Case& c, int threads, SchedulerKind kind,
+SolverOptions base_opts(const Case& c, int threads,
                         core::Dataflow dataflow = core::Dataflow::Barrier) {
   SolverOptions o;
   o.strategy = c.strategy;
   o.factorization = c.facto;
   o.threads = threads;
-  o.scheduler = kind;
   o.dataflow = dataflow;
   // Small thresholds so the tiny test grids still produce low-rank blocks
   // and multi-blok panels; tiny split threshold so the panel-split subtask
@@ -63,67 +62,55 @@ TEST_P(ParallelDeterminism, MatchesSequentialRun) {
 
   std::size_t entries_seq = 0;
   const real_t res_seq =
-      run_once(a, base_opts(c, 1, SchedulerKind::WorkStealing), &entries_seq);
+      run_once(a, base_opts(c, 1), &entries_seq);
   ASSERT_LT(res_seq, 1e-6);
   ASSERT_GT(entries_seq, 0u);
 
-  for (const SchedulerKind kind :
-       {SchedulerKind::WorkStealing, SchedulerKind::SharedQueue}) {
-    for (const int threads : {1, 2, 8}) {
-      std::size_t entries_par = 0;
-      const real_t res_par =
-          run_once(a, base_opts(c, threads, kind), &entries_par);
+  for (const int threads : {1, 2, 8}) {
+    std::size_t entries_par = 0;
+    const real_t res_par = run_once(a, base_opts(c, threads), &entries_par);
 
-      // The update order changes under concurrency, so results agree to
-      // rounding (and, for compressed strategies, to the rank decisions
-      // rounding can flip), not bit-for-bit.
-      EXPECT_LT(res_par, std::max<real_t>(1e-10, 50 * res_seq))
-          << scheduler_name(kind) << " threads=" << threads;
-      if (c.strategy == Strategy::Dense) {
-        EXPECT_EQ(entries_par, entries_seq)
-            << scheduler_name(kind) << " threads=" << threads;
-      } else {
-        const double rel =
-            std::abs(static_cast<double>(entries_par) -
-                     static_cast<double>(entries_seq)) /
-            static_cast<double>(entries_seq);
-        EXPECT_LT(rel, 0.02) << scheduler_name(kind) << " threads=" << threads
-                             << " entries " << entries_par << " vs "
-                             << entries_seq;
-      }
+    // The update order changes under concurrency, so results agree to
+    // rounding (and, for compressed strategies, to the rank decisions
+    // rounding can flip), not bit-for-bit.
+    EXPECT_LT(res_par, std::max<real_t>(1e-10, 50 * res_seq))
+        << "threads=" << threads;
+    if (c.strategy == Strategy::Dense) {
+      EXPECT_EQ(entries_par, entries_seq) << "threads=" << threads;
+    } else {
+      const double rel =
+          std::abs(static_cast<double>(entries_par) -
+                   static_cast<double>(entries_seq)) /
+          static_cast<double>(entries_seq);
+      EXPECT_LT(rel, 0.02) << "threads=" << threads << " entries "
+                           << entries_par << " vs " << entries_seq;
     }
   }
 }
 
 // Dataflow runs are pinned harder than barrier runs: the per-tile write
-// chains make any Dag execution — both scheduler kinds, any thread count —
-// reproduce the sequential barrier result exactly, so the entry counts must
+// chains make any Dag execution — at any thread count — reproduce the sequential barrier result exactly, so the entry counts must
 // be EQUAL for every strategy (not within tolerance) and the residual must
 // match the sequential one to refinement accuracy.
-TEST_P(ParallelDeterminism, DagMatchesBarrierAcrossSchedulers) {
+TEST_P(ParallelDeterminism, DagMatchesBarrierAcrossThreads) {
   const Case c = GetParam();
   const CscMatrix a = matrix_for(c.facto);
 
   std::size_t entries_seq = 0;
   const real_t res_seq =
-      run_once(a, base_opts(c, 1, SchedulerKind::WorkStealing), &entries_seq);
+      run_once(a, base_opts(c, 1), &entries_seq);
   ASSERT_LT(res_seq, 1e-6);
   ASSERT_GT(entries_seq, 0u);
 
-  for (const SchedulerKind kind :
-       {SchedulerKind::WorkStealing, SchedulerKind::SharedQueue}) {
-    for (const int threads : {1, 2, 8}) {
-      std::size_t entries_dag = 0;
-      const real_t res_dag =
-          run_once(a, base_opts(c, threads, kind, core::Dataflow::Dag),
-                   &entries_dag);
-      // Identical factors ⇒ identical rank decisions ⇒ identical storage,
-      // for compressed strategies too.
-      EXPECT_EQ(entries_dag, entries_seq)
-          << scheduler_name(kind) << " threads=" << threads;
-      EXPECT_LT(res_dag, std::max<real_t>(1e-10, 50 * res_seq))
-          << scheduler_name(kind) << " threads=" << threads;
-    }
+  for (const int threads : {1, 2, 8}) {
+    std::size_t entries_dag = 0;
+    const real_t res_dag =
+        run_once(a, base_opts(c, threads, core::Dataflow::Dag), &entries_dag);
+    // Identical factors ⇒ identical rank decisions ⇒ identical storage,
+    // for compressed strategies too.
+    EXPECT_EQ(entries_dag, entries_seq) << "threads=" << threads;
+    EXPECT_LT(res_dag, std::max<real_t>(1e-10, 50 * res_seq))
+        << "threads=" << threads;
   }
 }
 

@@ -11,7 +11,7 @@
 //  - the fp32 widen cache is built lazily on the first solve, hit by every
 //    later low-rank apply, and invalidated wholesale by refactorize();
 //  - solve kernels are routed through KernelDispatch (solve_trsm/solve_gemm
-//    rows in the kernel table), including PerSupernode batching;
+//    rows in the kernel table);
 //  - a Session serving concurrent clients over the parallel solve returns
 //    bit-identical answers and reports the solve-phase detail per request.
 
@@ -154,41 +154,6 @@ INSTANTIATE_TEST_SUITE_P(
         SolveConfig{Strategy::Adaptive, Dataflow::Barrier,
                     TilePrecision::MixedTiles, 1, 2}),
     config_name);
-
-// PerSupernode batching groups the forward-sweep applies without changing a
-// bit relative to eager dispatch.
-TEST(SolveBatching, PerSupernodeMatchesEagerBitwise) {
-  const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
-  const index_t n = a.rows();
-  SolverOptions eager = base_options(Strategy::MinimalMemory,
-                                     Dataflow::Barrier,
-                                     TilePrecision::Fp64, 1);
-  eager.solve_parallel = false;
-  eager.batching = Batching::Off;
-  SolverOptions batched = eager;
-  batched.batching = Batching::PerSupernode;
-
-  Solver se(eager), sb(batched);
-  se.factorize(a);
-  sb.factorize(a);
-  const index_t nrhs = 4;
-  const auto b = seeded_block(n, nrhs, 77);
-  std::vector<real_t> xe(b.size()), xb(b.size());
-  se.solve(la::DConstView(b.data(), n, nrhs, n),
-           la::DView(xe.data(), n, nrhs, n));
-  sb.solve(la::DConstView(b.data(), n, nrhs, n),
-           la::DView(xb.data(), n, nrhs, n));
-  EXPECT_EQ(0, std::memcmp(xe.data(), xb.data(), xe.size() * sizeof(real_t)));
-
-  // The batch layer really carried solve gemms.
-  bool batched_solve_gemm = false;
-  for (const core::DispatchCount& d : sb.stats().dispatch) {
-    if (d.kernel.rfind("solve_gemm", 0) == 0 && d.batched_calls > 0) {
-      batched_solve_gemm = true;
-    }
-  }
-  EXPECT_TRUE(batched_solve_gemm);
-}
 
 // ---- (b) solve plan: built once, replayed by every refactorize ------------
 

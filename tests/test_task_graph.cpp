@@ -197,7 +197,7 @@ TEST(TaskGraphStructure, ParallelExecutionRespectsEveryEdge) {
   const symbolic::SymbolicFactor sf = small_symbolic(a);
   const TaskGraph g = TaskGraph::build(sf, /*llt=*/true);
 
-  ThreadPool pool(4, SchedulerKind::WorkStealing);
+  ThreadPool pool(4);
   std::vector<std::atomic<bool>> done(g.num_tasks());
   for (auto& d : done) d.store(false);
   std::atomic<bool> violated{false};
@@ -230,7 +230,7 @@ TEST(TaskGraphStructure, CooperativeCancellationMidDag) {
   const std::uint32_t stop_at = g.num_tasks() / 3;
 
   for (const int threads : {0, 4}) {
-    ThreadPool pool(threads == 0 ? 1 : threads, SchedulerKind::WorkStealing);
+    ThreadPool pool(threads == 0 ? 1 : threads);
     ThreadPool* pp = threads == 0 ? nullptr : &pool;
     std::atomic<std::uint64_t> ran{0};
     const auto rs = g.execute(
@@ -409,51 +409,20 @@ TEST(DagDeterminism, AccumulatedUpdatesStayBitIdentical) {
   }
 }
 
-// Batched kernel execution routes every dag task's kernels through width-1
-// KernelBatch invocations; the arithmetic path is identical, so batching
-// must not perturb a single bit either.
-TEST(DagDeterminism, BatchingPreservesBits) {
-  const CscMatrix a = sparse::heterogeneous_poisson_3d(6, 5, 5, 4.0, 11);
-  SolverOptions ob = stress_opts(Strategy::JustInTime, Factorization::Lu,
-                                 core::Dataflow::Barrier, 1);
-  ob.batching = Batching::Off;
-  Solver barrier(ob);
-  barrier.factorize(a);
-  const auto ref = serialize_factors(barrier);
-  for (const Batching batching : {Batching::Off, Batching::PerSupernode}) {
-    for (const int threads : {1, 4}) {
-      SolverOptions o = stress_opts(Strategy::JustInTime, Factorization::Lu,
-                                    core::Dataflow::Dag, threads);
-      o.batching = batching;
-      Solver dag(o);
-      dag.factorize(a);
-      const auto got = serialize_factors(dag);
-      ASSERT_EQ(ref.size(), got.size());
-      EXPECT_EQ(0, std::memcmp(ref.data(), got.data(), ref.size()))
-          << core::batching_name(batching) << " threads=" << threads;
-    }
-  }
-}
-
-// Both scheduler substrates must drive the DAG to the same bits.
-TEST(DagDeterminism, BothSchedulerKindsMatch) {
+// An eight-worker pool must drive the DAG to the same bits as the sequential
+// barrier run.
+TEST(DagDeterminism, EightWorkersMatchBarrier) {
   const CscMatrix a = sparse::heterogeneous_poisson_3d(5, 6, 5, 4.0, 99);
   Solver barrier(stress_opts(Strategy::Adaptive, Factorization::Llt,
                              core::Dataflow::Barrier, 1));
   barrier.factorize(a);
   const auto ref = serialize_factors(barrier);
-  for (const SchedulerKind kind :
-       {SchedulerKind::WorkStealing, SchedulerKind::SharedQueue}) {
-    SolverOptions o = stress_opts(Strategy::Adaptive, Factorization::Llt,
-                                  core::Dataflow::Dag, 8);
-    o.scheduler = kind;
-    Solver dag(o);
-    dag.factorize(a);
-    const auto got = serialize_factors(dag);
-    ASSERT_EQ(ref.size(), got.size());
-    EXPECT_EQ(0, std::memcmp(ref.data(), got.data(), ref.size()))
-        << scheduler_name(kind);
-  }
+  Solver dag(stress_opts(Strategy::Adaptive, Factorization::Llt,
+                         core::Dataflow::Dag, 8));
+  dag.factorize(a);
+  const auto got = serialize_factors(dag);
+  ASSERT_EQ(ref.size(), got.size());
+  EXPECT_EQ(0, std::memcmp(ref.data(), got.data(), ref.size()));
 }
 
 // The DAG stats surfaced through SolverStats are internally consistent.

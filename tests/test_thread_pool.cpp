@@ -1,5 +1,4 @@
-// Concurrency harness for the work-stealing scheduler (and the legacy
-// shared-queue pool behind the same interface): randomized-DAG stress,
+// Concurrency harness for the work-stealing scheduler: randomized-DAG stress,
 // priority ordering, wait_idle() completeness, nested submission and
 // nested parallel_for. Designed to run under BLR_SANITIZE=thread.
 
@@ -16,9 +15,6 @@
 namespace {
 
 using namespace blr;
-
-constexpr SchedulerKind kKinds[] = {SchedulerKind::WorkStealing,
-                                    SchedulerKind::SharedQueue};
 
 /// A randomized task DAG: node i depends on a few predecessors with smaller
 /// index, tasks decrement successor counters and submit the ones that drain
@@ -39,10 +35,7 @@ struct RandomDag {
   std::vector<std::atomic<int>> deps;
 };
 
-class SchedulerSweep : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(SchedulerSweep, RandomizedDagRunsEveryTaskExactlyOnce) {
-  const SchedulerKind kind = GetParam();
+TEST(SchedulerSweep, RandomizedDagRunsEveryTaskExactlyOnce) {
   for (const int threads : {1, 2, 4, 8, 16}) {
     for (const std::uint64_t seed : {7ull, 1234ull, 987654321ull}) {
       const index_t n = 400;
@@ -50,7 +43,7 @@ TEST_P(SchedulerSweep, RandomizedDagRunsEveryTaskExactlyOnce) {
       std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
       std::atomic<index_t> total{0};
 
-      ThreadPool pool(threads, kind);
+      ThreadPool pool(threads);
       ASSERT_EQ(pool.size(), threads);
       // One std::function per node, self-submitting its drained successors.
       std::function<void(index_t)> run_node = [&](index_t i) {
@@ -90,9 +83,8 @@ TEST_P(SchedulerSweep, RandomizedDagRunsEveryTaskExactlyOnce) {
   }
 }
 
-TEST_P(SchedulerSweep, TasksSubmittedFromRunningTasksComplete) {
-  const SchedulerKind kind = GetParam();
-  ThreadPool pool(3, kind);
+TEST(SchedulerSweep, TasksSubmittedFromRunningTasksComplete) {
+  ThreadPool pool(3);
   std::atomic<int> done{0};
   constexpr int kDepth = 64;
   std::function<void(int)> chain = [&](int d) {
@@ -104,11 +96,10 @@ TEST_P(SchedulerSweep, TasksSubmittedFromRunningTasksComplete) {
   EXPECT_EQ(done.load(), kDepth);
 }
 
-TEST_P(SchedulerSweep, WaitIdleNeverReturnsEarly) {
-  const SchedulerKind kind = GetParam();
+TEST(SchedulerSweep, WaitIdleNeverReturnsEarly) {
   Prng rng(42);
   for (int round = 0; round < 20; ++round) {
-    ThreadPool pool(4, kind);
+    ThreadPool pool(4);
     std::atomic<int> live{0};
     std::atomic<bool> observed_live_after_wait{false};
     const int ntasks = 16 + static_cast<int>(rng.below(48));
@@ -125,9 +116,8 @@ TEST_P(SchedulerSweep, WaitIdleNeverReturnsEarly) {
   }
 }
 
-TEST_P(SchedulerSweep, ParallelForCoversRange) {
-  const SchedulerKind kind = GetParam();
-  ThreadPool pool(4, kind);
+TEST(SchedulerSweep, ParallelForCoversRange) {
+  ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(1000, [&](index_t i) {
     hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
@@ -135,9 +125,8 @@ TEST_P(SchedulerSweep, ParallelForCoversRange) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST_P(SchedulerSweep, NestedParallelForInsideTaskCompletes) {
-  const SchedulerKind kind = GetParam();
-  ThreadPool pool(2, kind);
+TEST(SchedulerSweep, NestedParallelForInsideTaskCompletes) {
+  ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(256);
   std::atomic<bool> inner_done{false};
   pool.submit([&] {
@@ -153,20 +142,13 @@ TEST_P(SchedulerSweep, NestedParallelForInsideTaskCompletes) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothKinds, SchedulerSweep, ::testing::ValuesIn(kKinds),
-                         [](const auto& info) {
-                           return info.param == SchedulerKind::WorkStealing
-                                      ? "WorkStealing"
-                                      : "SharedQueue";
-                         });
-
 // Priority semantics of the work-stealing scheduler: with a single gated
 // worker, queued injected tasks must run in priority order, and a chain
 // extended from inside a task (local LIFO push) must outrun equally-queued
 // low-priority leaves — the chain-vs-leaves shape of the elimination tree's
 // critical path.
 TEST(WorkStealingPriority, ChainRunsBeforeLeavesOnSingleWorker) {
-  ThreadPool pool(1, SchedulerKind::WorkStealing);
+  ThreadPool pool(1);
 
   std::mutex m;
   std::condition_variable cv;
@@ -214,7 +196,7 @@ TEST(WorkStealingPriority, ChainRunsBeforeLeavesOnSingleWorker) {
 }
 
 TEST(WorkStealingPriority, EqualPrioritiesKeepSubmissionOrder) {
-  ThreadPool pool(1, SchedulerKind::WorkStealing);
+  ThreadPool pool(1);
   std::mutex m;
   std::condition_variable cv;
   bool released = false;
@@ -237,7 +219,7 @@ TEST(WorkStealingPriority, EqualPrioritiesKeepSubmissionOrder) {
 }
 
 TEST(WorkStealingStats, StealsHappenAndResetWorks) {
-  ThreadPool pool(4, SchedulerKind::WorkStealing);
+  ThreadPool pool(4);
   std::atomic<int> done{0};
   // Submit a burst from outside, then fan out from inside so local deques
   // fill and idle workers must steal.
