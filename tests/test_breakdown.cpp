@@ -61,13 +61,19 @@ CscMatrix zero_row_col(const CscMatrix& a, index_t j0) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault kinds x {sequential, parallel} x {barrier, dag}
+// Fault kinds x {sequential, parallel} x {barrier, dag}, plus a parallel
+// barrier row whose panels are split into subtasks
 // ---------------------------------------------------------------------------
 
 struct Mode {
   int threads;
   core::Dataflow dataflow;
+  int panel_split_rows;
 };
+
+/// SolverOptions' default split threshold; 16 splits panels on the 8^3 grid.
+constexpr int kDefaultSplit = 512;
+constexpr int kForcedSplit = 16;
 
 class FaultModeTest : public ::testing::TestWithParam<Mode> {
 protected:
@@ -75,6 +81,7 @@ protected:
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
     opts.dataflow = GetParam().dataflow;
+    opts.panel_split_rows = GetParam().panel_split_rows;
     return opts;
   }
 };
@@ -167,12 +174,16 @@ TEST_P(FaultModeTest, CompressionFailureIsStructured) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, FaultModeTest,
     ::testing::Values(
-        Mode{1, core::Dataflow::Barrier}, Mode{4, core::Dataflow::Barrier},
-        Mode{1, core::Dataflow::Dag}, Mode{4, core::Dataflow::Dag}),
+        Mode{1, core::Dataflow::Barrier, kDefaultSplit},
+        Mode{4, core::Dataflow::Barrier, kDefaultSplit},
+        Mode{4, core::Dataflow::Barrier, kForcedSplit},
+        Mode{1, core::Dataflow::Dag, kDefaultSplit},
+        Mode{4, core::Dataflow::Dag, kDefaultSplit}),
     [](const ::testing::TestParamInfo<Mode>& info) {
       std::string s =
           info.param.threads == 1 ? "Sequential" : "ParallelWorkStealing";
       if (info.param.dataflow == core::Dataflow::Dag) s += "Dag";
+      if (info.param.panel_split_rows != kDefaultSplit) s += "Split";
       return s;
     });
 

@@ -1,7 +1,7 @@
 // Golden cross-strategy regression: every update policy (Minimal-Memory,
 // Just-In-Time, Adaptive) crossed with both compression kernels, run
-// sequentially and on the work-stealing pool, must solve the same seeded
-// Laplacian to tolerance.
+// sequentially and on the work-stealing pool (with and without forced panel
+// splitting), must solve the same seeded Laplacian to tolerance.
 // Also pins the memory ordering the policies are designed around (MinMem <=
 // Adaptive <= Dense for tracked factor bytes) and the workspace footprint of
 // the Minimal-Memory scenario (contributions are tracked tiles; their
@@ -44,7 +44,13 @@ struct CrossConfig {
   Strategy strategy;
   lr::CompressionKind kind;
   int threads;
+  int panel_split_rows;
 };
+
+/// SolverOptions' default split threshold; 32 forces the panel-split
+/// subtask path on the 12^3 grid.
+constexpr int kDefaultSplit = 512;
+constexpr int kForcedSplit = 32;
 
 class CrossStrategy : public ::testing::TestWithParam<CrossConfig> {};
 
@@ -54,6 +60,7 @@ TEST_P(CrossStrategy, SeededLaplacianSolvesToTolerance) {
   const real_t tol = 1e-8;
   SolverOptions opts = small_problem_options(cfg.strategy, cfg.kind, tol);
   opts.threads = cfg.threads;
+  opts.panel_split_rows = cfg.panel_split_rows;
 
   Solver solver(opts);
   solver.factorize(a);
@@ -87,6 +94,7 @@ std::string cross_name(const ::testing::TestParamInfo<CrossConfig>& info) {
   }
   s += c.kind == lr::CompressionKind::Svd ? "_SVD" : "_RRQR";
   s += c.threads <= 1 ? "_Seq" : "_WS";
+  if (c.panel_split_rows != kDefaultSplit) s += "Split";
   return s;
 }
 
@@ -96,8 +104,9 @@ std::vector<CrossConfig> cross_matrix() {
        {Strategy::MinimalMemory, Strategy::JustInTime, Strategy::Adaptive}) {
     for (const lr::CompressionKind k :
          {lr::CompressionKind::Svd, lr::CompressionKind::Rrqr}) {
-      v.push_back({s, k, 1});
-      v.push_back({s, k, 4});
+      v.push_back({s, k, 1, kDefaultSplit});
+      v.push_back({s, k, 4, kDefaultSplit});
+      v.push_back({s, k, 4, kForcedSplit});
     }
   }
   return v;

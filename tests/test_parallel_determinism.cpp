@@ -92,7 +92,7 @@ TEST_P(ParallelDeterminism, MatchesSequentialRun) {
 // chains make any Dag execution — at any thread count — reproduce the sequential barrier result exactly, so the entry counts must
 // be EQUAL for every strategy (not within tolerance) and the residual must
 // match the sequential one to refinement accuracy.
-TEST_P(ParallelDeterminism, DagMatchesBarrierAcrossThreads) {
+TEST_P(ParallelDeterminism, DagMatchesBarrierAcrossSchedulers) {
   const Case c = GetParam();
   const CscMatrix a = matrix_for(c.facto);
 

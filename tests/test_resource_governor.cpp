@@ -142,13 +142,19 @@ TEST(TrackerBudget, ReportCarriesStructuredBreach) {
 
 // ---------------------------------------------------------------------------
 // Budget grid: tight-but-feasible and infeasible budgets across execution
-// modes (sequential / parallel x Barrier / Dag)
+// modes (sequential / parallel x Barrier / Dag, plus a parallel Barrier row
+// whose panels are split into subtasks)
 // ---------------------------------------------------------------------------
 
 struct GovMode {
   int threads;
   core::Dataflow dataflow;
+  int panel_split_rows;
 };
+
+/// SolverOptions' default split threshold; 32 splits panels on the 10^3 grid.
+constexpr int kDefaultSplit = 512;
+constexpr int kForcedSplit = 32;
 
 class BudgetModeTest : public ::testing::TestWithParam<GovMode> {
 protected:
@@ -156,6 +162,7 @@ protected:
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
     opts.dataflow = GetParam().dataflow;
+    opts.panel_split_rows = GetParam().panel_split_rows;
     return opts;
   }
 };
@@ -210,13 +217,15 @@ TEST_P(BudgetModeTest, InfeasibleBudgetFailsSoftlyAndSurvives) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, BudgetModeTest,
-    ::testing::Values(GovMode{1, core::Dataflow::Barrier},
-                      GovMode{1, core::Dataflow::Dag},
-                      GovMode{4, core::Dataflow::Barrier},
-                      GovMode{4, core::Dataflow::Dag}),
+    ::testing::Values(GovMode{1, core::Dataflow::Barrier, kDefaultSplit},
+                      GovMode{1, core::Dataflow::Dag, kDefaultSplit},
+                      GovMode{4, core::Dataflow::Barrier, kDefaultSplit},
+                      GovMode{4, core::Dataflow::Barrier, kForcedSplit},
+                      GovMode{4, core::Dataflow::Dag, kDefaultSplit}),
     [](const auto& info) {
       std::ostringstream os;
       os << (info.param.threads > 1 ? "ParWS" : "Seq")
+         << (info.param.panel_split_rows != kDefaultSplit ? "Split" : "")
          << (info.param.dataflow == core::Dataflow::Dag ? "Dag" : "Barrier");
       return os.str();
     });
@@ -540,7 +549,7 @@ TEST(AttemptCounters, DagCountersArePerAttemptNotCumulative) {
   EXPECT_GT(attempts[1].peak_bytes, 0u);
 }
 
-TEST(AttemptCounters, SchedulerCountersArePerAttempt) {
+TEST(AttemptCounters, BatchAndSchedulerCountersArePerAttempt) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   SolverOptions opts = small_opts();
   opts.threads = 4;
